@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Matcher, Query
 from repro.errors import ConfigurationError, MiddlewareError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec, get_codec
 from repro.interop.frames import WireFrame
 from repro.transport.base import Address
 from repro.transport.simnet import SimTransport
@@ -94,8 +94,7 @@ class DistributedDiscovery:
         self.messages_sent: Dict[str, int] = {
             "advert": 0, "query": 0, "reply": 0, "withdraw": 0,
         }
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
         self._advert_timer = transport.scheduler.schedule(
             self.advertise_interval_s, self._periodic_advertise
         )
@@ -207,11 +206,7 @@ class DistributedDiscovery:
 
     # -------------------------------------------------------------- receiving
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         try:
             op = message.get("op")
             if op == "advert":
@@ -226,7 +221,7 @@ class DistributedDiscovery:
             # A corrupted frame can decode to a dict with mangled keys,
             # field types, or out-of-range values; treat it like any other
             # malformed frame.
-            self.malformed_frames += 1
+            self.transport.drop_malformed(source, "mangled discovery message")
 
     def _on_withdraw(self, message: Dict[str, Any]) -> None:
         key = (message["origin"], message["seq"])

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Matcher, Query
 from repro.errors import DiscoveryError, MiddlewareError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec, get_codec
 from repro.interop.frames import WireFrame
 from repro.obs.tracing import NOOP_SPAN, TRACER
 from repro.transport.base import Address, Transport
@@ -65,8 +65,7 @@ class RegistryServer:
         self.lookups_served = 0
         self.registrations_accepted = 0
         self.replications_sent = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
         self._sweep_interval = sweep_interval_s
         self._schedule_sweep()
 
@@ -99,11 +98,7 @@ class RegistryServer:
 
     # -------------------------------------------------------------- protocol
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         try:
             op = message.get("op")
             rid = message.get("rid")
@@ -119,7 +114,7 @@ class RegistryServer:
             # failure at a network boundary.
         except (KeyError, TypeError, ValueError, AttributeError, MiddlewareError):
             # Decodable but mangled (corrupted keys/values/field types): drop.
-            self.malformed_frames += 1
+            self.transport.drop_malformed(source, "mangled registry request")
 
     def _reply(self, destination: Address, message: Dict[str, Any]) -> None:
         self.transport.send(destination, WireFrame(message, self.codec))
@@ -218,9 +213,8 @@ class RegistryClient:
         self._pending: Dict[str, Tuple[Promise, WireFrame, int]] = {}
         self.timeouts = 0
         self.retransmissions = 0
-        self.malformed_frames = 0
         self._auto_renew: Dict[str, float] = {}  # service_id -> lease_s
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     # --------------------------------------------------------------- sending
 
@@ -249,11 +243,7 @@ class RegistryClient:
         self.timeouts += 1
         promise.reject(DiscoveryError(f"registry request {rid} timed out"))
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         rid = message.get("rid")
         if not isinstance(rid, str):
             return

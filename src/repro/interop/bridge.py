@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.errors import CodecError
 from repro.interop.codec import Codec, get_codec
-from repro.interop.frames import decode_payload
+from repro.interop.frames import decode_frame
 from repro.transactions.pubsub import PubSubClient
 from repro.transactions.rpc import RpcEndpoint
 from repro.transactions.tuplespace import TupleSpaceClient
@@ -31,8 +32,8 @@ class CodecGateway:
 
     ``route_a_to_b`` maps source addresses seen on side A to destinations
     on side B (and vice versa for ``route_b_to_a``); unmapped sources fall
-    back to the default peer, and traffic with no route is dropped and
-    counted.
+    back to the default peer. Traffic with no route, or that does not
+    decode, is dropped and counted.
     """
 
     def __init__(
@@ -66,21 +67,29 @@ class CodecGateway:
 
     def _from_a(self, source: Address, payload: bytes) -> None:
         destination = self.route_a_to_b.get(str(source), self.default_b)
-        if destination is None:
-            self.dropped += 1
-            return
-        value = decode_payload(self.codec_a, payload)
-        self.forwarded_a_to_b += 1
-        self.side_b.send(destination, self.codec_b.encode(value))
+        if self._forward(destination, payload, self.codec_a, self.codec_b,
+                         self.side_b):
+            self.forwarded_a_to_b += 1
 
     def _from_b(self, source: Address, payload: bytes) -> None:
         destination = self.route_b_to_a.get(str(source), self.default_a)
+        if self._forward(destination, payload, self.codec_b, self.codec_a,
+                         self.side_a):
+            self.forwarded_b_to_a += 1
+
+    def _forward(self, destination: Optional[Address], payload: bytes,
+                 decoder: Codec, encoder: Codec, side: Transport) -> bool:
+        """Re-encode one value for the other side; False if dropped."""
         if destination is None:
             self.dropped += 1
-            return
-        value = decode_payload(self.codec_b, payload)
-        self.forwarded_b_to_a += 1
-        self.side_a.send(destination, self.codec_a.encode(value))
+            return False
+        try:
+            encoded = encoder.encode(decode_frame(decoder, payload))
+        except CodecError:
+            self.dropped += 1
+            return False
+        side.send(destination, encoded)
+        return True
 
 
 class RpcEventBridge:

@@ -13,6 +13,9 @@ implementations cover the paper's interoperability tradeoff (Section 3.9):
 
 Benchmark E9 measures the byte and CPU cost of each on identical RPC
 workloads.
+
+Every codec's ``decode`` raises only :class:`CodecError` on malformed
+input, so receive paths catch exactly one type.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import struct
 from sys import intern
 from typing import Any, Dict, Protocol, runtime_checkable
 
-from repro.errors import CodecError, InteropError
+from repro.errors import CodecError, MarkupError
 from repro.interop import sml
 
 _F64 = struct.Struct(">d")
@@ -103,17 +106,12 @@ def _utf8_size(text: str) -> int:
 #: materializing their cached encoding on demand.
 _FRAME_TYPES: tuple = ()
 
-#: Hook installed by :mod:`repro.interop.frames`: extracts the message dict
-#: from a frame object without decoding (see :func:`try_decode_dict`).
-_FRAME_DICT_EXTRACTOR = None
 
-
-def register_frame_types(types: tuple, extractor) -> None:
+def register_frame_types(types: tuple) -> None:
     """Teach the codec layer about lazy frame types (called once by
     :mod:`repro.interop.frames` at import time)."""
-    global _FRAME_TYPES, _FRAME_DICT_EXTRACTOR
+    global _FRAME_TYPES
     _FRAME_TYPES = types
-    _FRAME_DICT_EXTRACTOR = extractor
 
 
 @runtime_checkable
@@ -240,7 +238,13 @@ class BinaryCodec:
     def decode(self, payload: bytes) -> Any:
         if _FRAME_TYPES and isinstance(payload, _FRAME_TYPES):
             payload = bytes(payload)
-        value, offset = self._decode_from(payload, 0)
+        try:
+            value, offset = self._decode_from(payload, 0)
+        except CodecError:
+            raise
+        except (ValueError, OverflowError, RecursionError, struct.error) as exc:
+            # Bad UTF-8/ASCII text, absurd lengths, pathological nesting.
+            raise CodecError(f"cannot binary-decode: {exc}") from exc
         if offset != len(payload):
             raise CodecError(f"{len(payload) - offset} trailing bytes after value")
         return value
@@ -402,7 +406,8 @@ class JsonCodec:
             payload = bytes(payload)
         try:
             return json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors.
             raise CodecError(f"cannot JSON-decode: {exc}") from exc
 
 
@@ -423,10 +428,11 @@ class SmlCodec:
         if _FRAME_TYPES and isinstance(payload, _FRAME_TYPES):
             payload = bytes(payload)
         try:
-            root = sml.parse(payload.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"SML payload is not UTF-8: {exc}") from exc
-        return self._from_element(root)
+            return self._from_element(sml.parse(payload.decode("utf-8")))
+        except CodecError:
+            raise
+        except (MarkupError, ValueError, RecursionError) as exc:
+            raise CodecError(f"cannot SML-decode: {exc}") from exc
 
     def _to_element(self, value: Any) -> sml.SmlElement:
         if value is None:
@@ -511,27 +517,3 @@ def get_codec(name: str) -> Codec:
             f"unknown codec {name!r}; available: {sorted(_CODECS)}"
         ) from None
 
-
-def try_decode_dict(codec: Codec, payload: bytes) -> "Dict[str, Any] | None":
-    """Decode a frame expected to hold a message dict; ``None`` if malformed.
-
-    Receive paths use this so corrupted or truncated frames (chaos
-    injection, buggy peers) are counted and dropped by the caller instead
-    of unwinding the simulator event loop with a raise.
-
-    When the payload is a lazy :class:`~repro.interop.frames.WireFrame`
-    delivered by reference (same-process fast path), the message dict is
-    extracted with **zero decode** — provided the frame was built for the
-    same wire format; a codec mismatch falls back to materialize-then-decode
-    so cross-format behavior is identical to the eager path.
-    """
-    if not isinstance(payload, (bytes, bytearray)):
-        extractor = _FRAME_DICT_EXTRACTOR
-        if extractor is not None:
-            return extractor(codec, payload)
-        return None
-    try:
-        value = codec.decode(payload)
-    except (InteropError, ValueError, OverflowError):
-        return None
-    return value if isinstance(value, dict) else None

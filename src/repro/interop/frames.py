@@ -12,9 +12,9 @@ dict *and* a lazily materialized, cached encoding:
 * ``len(frame)`` reports the exact encoded length *without* materializing
   (via :meth:`BinaryCodec.encoded_size`), so ``payload_bytes``-driven
   serialization delays, energy charges, and byte counters are unchanged;
-* delivered by reference through the in-process fabrics, the receiver's
-  :func:`~repro.interop.codec.try_decode_dict` returns the original dict
-  with zero decode;
+* delivered by reference through the in-process fabrics,
+  :func:`decode_frame` (the transport receive seam's decode step) returns
+  the original dict with zero decode;
 * built from bytes (:meth:`WireFrame.from_bytes`, e.g. after crossing a
   shard process boundary), the *decode* is the lazy, cached half.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Union
 
-from repro.errors import CodecError, InteropError
+from repro.errors import CodecError
 from repro.interop.codec import (
     _T_INT,
     _encode_varint,
@@ -51,7 +51,6 @@ from repro.interop.codec import (
     get_codec,
     register_frame_types,
     splice_int_field,
-    try_decode_dict,
 )
 from repro.obs.metrics import get_registry
 
@@ -119,9 +118,8 @@ class WireFrame:
         """The message dict; decodes (once) only for bytes-built frames.
 
         Raises :class:`CodecError` if a bytes-built frame does not decode
-        to a value at all — callers on receive paths go through
-        :func:`~repro.interop.codec.try_decode_dict`, which maps that to a
-        counted drop.
+        to a value at all — on receive paths the transport seam maps that
+        to a counted drop.
         """
         message = self._message
         if message is None:
@@ -265,11 +263,14 @@ def split_frame(payload: FramePayload, header_size: int):
     return payload[:header_size], payload[header_size:]
 
 
-def decode_payload(codec: Codec, payload: FramePayload) -> Any:
-    """Codec-decode that short-circuits reference-passed frames.
+def decode_frame(codec: Codec, payload: FramePayload) -> Any:
+    """Decode a received payload; raises only :class:`CodecError`.
 
-    The raising twin of :func:`~repro.interop.codec.try_decode_dict`, for
-    receive paths that predate the count-and-drop convention.
+    A :class:`WireFrame` built for ``codec``'s wire format yields its
+    message by reference, with zero decode. Any other frame is decoded
+    from its real bytes, so a wire-format mismatch behaves exactly like
+    the eager path. This is the decode step of the transport receive seam
+    (:meth:`~repro.transport.base.Transport.receive_messages`).
     """
     if isinstance(payload, WireFrame):
         if payload.codec.name == codec.name:
@@ -284,29 +285,7 @@ def decode_payload(codec: Codec, payload: FramePayload) -> Any:
     return codec.decode(payload)
 
 
-def _extract_dict(codec: Codec, payload: Any) -> Optional[Dict[str, Any]]:
-    """The non-bytes arm of ``try_decode_dict`` (installed as a codec hook)."""
-    if isinstance(payload, WireFrame):
-        if payload.codec.name == codec.name:
-            if payload._encoded is None:
-                _count("codec.encode_skipped")
-            try:
-                message = payload.message
-            except (InteropError, ValueError, OverflowError):
-                return None
-            if isinstance(message, dict):
-                _count("transport.frames.passthrough")
-                return message
-            return None
-        # Wire-format mismatch: behave exactly like the eager path — the
-        # receiver sees this codec's view of the sender's real bytes.
-        return try_decode_dict(codec, payload.materialize())
-    if isinstance(payload, PrefixedFrame):
-        return try_decode_dict(codec, bytes(payload))
-    return None
-
-
-register_frame_types(FRAME_TYPES, _extract_dict)
+register_frame_types(FRAME_TYPES)
 
 
 class TailIntPacker:

@@ -44,7 +44,7 @@ class LocationServer:
         self.events = EventEmitter()
         self._bindings: Dict[str, Binding] = {}
         self.resolves_served = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     def binding(self, name: str) -> Optional[Binding]:
         return self._bindings.get(name)
@@ -52,8 +52,7 @@ class LocationServer:
     def __len__(self) -> int:
         return len(self._bindings)
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         rid = message.get("rid")
         if op == "bind":
@@ -126,7 +125,7 @@ class LocationClient:
         self._rids = IdGenerator(f"loc:{transport.local_address}")
         self._pending: Dict[str, Promise] = {}
         self._versions: Dict[str, int] = {}
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     def _request(self, message: Dict[str, Any]) -> Promise:
         rid = self._rids.next()
@@ -142,8 +141,7 @@ class LocationClient:
         if promise is not None:
             promise.reject(NameNotFoundError(f"location request {rid} timed out"))
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         promise = self._pending.pop(message.get("rid"), None)
         if promise is not None:
             promise.fulfill(message)

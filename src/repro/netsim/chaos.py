@@ -39,7 +39,6 @@ fans campaigns over seeds). No wall-clock values appear in the scorecard.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -1117,20 +1116,12 @@ class ChaosCampaign:
         state = self.state
         sent = state.bulk_sent
         delivered = len(set(state.bulk_received))
-        malformed = (
-            self.bulk_sender.malformed_frames
-            + self.bulk_receiver.malformed_frames
-            + sum(d.malformed_frames for d in self.detectors.values())
-            + sum(
-                getattr(n.discovery, "malformed_frames", 0)
-                + n.rpc.malformed_frames
-                for n in self.nodes.values()
-            )
-            + sum(
-                a.dropped.get("malformed", 0)
-                for n in self.nodes.values()
-                if (a := n.routing_agent) is not None
-            )
+        # Every protocol counts remote garbage on its endpoint; the bulk
+        # stream's reliable layers are the only endpoints off the fabric.
+        malformed = sum(
+            endpoint.malformed_frames
+            for endpoint in (*self.fabric.endpoints(), self.bulk_sender,
+                             self.bulk_receiver)
         )
         corruptor = self._corruptor
         faults = dict(self.fault_counts)
@@ -1238,12 +1229,6 @@ def run_campaign(mix: str, seed: int, **overrides: Any) -> Dict[str, Any]:
     """Run one campaign; returns its scorecard (a pure function of inputs)."""
     spec = CampaignSpec(mix=mix, seed=seed, **overrides)
     return ChaosCampaign(spec).run()
-
-
-def scorecard_bytes(scorecard: Dict[str, Any]) -> bytes:
-    """Canonical serialized form: byte-identical for identical campaigns."""
-    return json.dumps(scorecard, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 #: The fault mixes any deployment can compose with (via

@@ -11,14 +11,13 @@ incorporated." Both are here:
   work,
 * :mod:`repro.recovery.store` — a transactional key-value store with
   redo/undo recovery (the database-style mechanism), crash-injectable,
-* :mod:`repro.recovery.heartbeat` — a heartbeat failure detector,
-* :mod:`repro.recovery.replication` — primary-backup replication with
-  failover.
+* :mod:`repro.recovery.heartbeat` — a heartbeat failure detector.
+
+Replicated services with failover live in :mod:`repro.replication`.
 """
 
 from repro.recovery.checkpoint import Checkpoint, CheckpointManager
 from repro.recovery.heartbeat import HeartbeatDetector
-from repro.recovery.replication import BackupReplica, PrimaryReplica, ReplicationClient
 from repro.recovery.store import TransactionalStore
 from repro.recovery.wal import LogRecord, StableStorage, WriteAheadLog
 
@@ -26,9 +25,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointManager",
     "HeartbeatDetector",
-    "BackupReplica",
-    "PrimaryReplica",
-    "ReplicationClient",
     "TransactionalStore",
     "LogRecord",
     "StableStorage",

@@ -4,8 +4,7 @@ Every monitored peer sends periodic heartbeats; the detector suspects a
 peer after ``timeout_multiplier`` missed intervals and unsuspects on the
 next heartbeat. This is the standard eventually-perfect-detector
 construction under partial synchrony — good enough to drive failover in
-:mod:`repro.recovery.replication` and rebinding in the QoS degradation
-manager.
+:mod:`repro.replication` and rebinding in the QoS degradation manager.
 
 Wire format: ``{"op": "hb", "from": node, "seq": n}`` (fire-and-forget).
 """
@@ -13,10 +12,10 @@ Wire format: ``{"op": "hb", "from": node, "seq": n}`` (fire-and-forget).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError
-from repro.interop.codec import BinaryCodec, Codec, get_codec, try_decode_dict
+from repro.interop.codec import BinaryCodec, Codec, get_codec
 from repro.interop.frames import TailIntPacker, WireFrame
 from repro.transport.base import Address, Transport
 from repro.util.events import EventEmitter, Subscription
@@ -58,7 +57,6 @@ class HeartbeatDetector:
         self._watched: Dict[str, PeerState] = {}
         self._seq = 0
         self.heartbeats_sent = 0
-        self.malformed_frames = 0
         # Beacons share a fixed schema where only the seq varies: compile
         # the constant prefix once instead of re-encoding every period.
         beacon_base = {"op": "hb", "from": transport.local_address.node}
@@ -66,7 +64,7 @@ class HeartbeatDetector:
             TailIntPacker(self.codec, beacon_base, "seq")
             if isinstance(self.codec, BinaryCodec) else None
         )
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
         self._beat_timer = transport.scheduler.schedule(interval_s, self._beat)
         self._check_timer = transport.scheduler.schedule(interval_s, self._check)
 
@@ -144,12 +142,7 @@ class HeartbeatDetector:
                 self.events.emit("suspect", node_id)
         self._check_timer = self.transport.scheduler.schedule(self.interval_s, self._check)
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            # Corrupted frame (chaos injection): drop, never raise.
-            self.malformed_frames += 1
-            return
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         if message.get("op") != "hb":
             return
         node_id = message.get("from")

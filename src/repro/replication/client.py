@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AdmissionRefused, ConfigurationError, DeliveryError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec, get_codec
 from repro.interop.frames import WireFrame
 from repro.replication.shards import ShardMap
 from repro.transport.base import Address, Transport
@@ -96,8 +96,7 @@ class GroupClient:
         self.stale_retries = 0
         self.rejections = 0
         self.admission_rejected = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     # ------------------------------------------------------------------ API
 
@@ -267,11 +266,7 @@ class GroupClient:
                 return i
         return None
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         rid = message.get("rid")
         request = self._requests.get(rid) if isinstance(rid, str) else None
         if request is None:

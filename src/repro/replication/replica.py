@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec, get_codec
 from repro.interop.frames import WireFrame
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
@@ -153,7 +153,6 @@ class ReplicaNode:
         self.log = OpLog()
         self.applied_index = 0
         self.closed = False
-        self.malformed_frames = 0
 
         # rid -> (result, index) for every applied op: the at-most-once
         # cache. Populated on *every* replica so a freshly elected primary
@@ -187,7 +186,7 @@ class ReplicaNode:
         )
         self._g_term.set(self.term)
 
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
         self.detector = HeartbeatDetector(
             hb_transport,
@@ -234,12 +233,8 @@ class ReplicaNode:
 
     # ------------------------------------------------------------- messages
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         if self.closed:
-            return
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
             return
         op = message.get("op")
         if op == "cmd":
@@ -301,7 +296,7 @@ class ReplicaNode:
         rid = message.get("rid")
         name = message.get("name")
         if not isinstance(rid, str) or not isinstance(name, str):
-            self.malformed_frames += 1
+            self.transport.drop_malformed(source, "cmd without rid/name")
             return
         args = tuple(message.get("args", ()))
         if message.get("read"):

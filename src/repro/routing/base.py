@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MiddlewareError, NoRouteError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec, get_codec
 from repro.interop.frames import WireFrame, is_frame
 from repro.obs.tracing import TRACER, SpanContext
 from repro.transport.base import Address, Scheduler, Transport
@@ -52,10 +52,6 @@ class Envelope:
     trace_ctx: Optional[SpanContext] = field(
         default=None, compare=False, repr=False
     )
-    # In-memory only: the lazy frame this envelope arrived as, when its wire
-    # dict is known to round-trip through to_dict() byte-for-byte. Lets a
-    # forward patch just the ttl varint instead of re-encoding the dict.
-    wire: Optional[WireFrame] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> Dict[str, Any]:
         message: Dict[str, Any] = {
@@ -133,7 +129,7 @@ class RoutingAgent:
         self.forwarded = 0
         self.delivered = 0
         self.dropped: Dict[str, int] = {}
-        self.endpoint.set_receiver(self._on_frame)
+        self.endpoint.receive_messages(self.codec, self._on_frame)
         router.attach(self)
 
     # ------------------------------------------------------------- upper API
@@ -258,21 +254,10 @@ class RoutingAgent:
         return node_id in network and network.node(node_id).alive
 
     def _frame_for(self, envelope: Envelope, out: Envelope):
-        """The wire frame for one outgoing hop.
-
-        When the incoming envelope carried a canonical wire dict
-        (``envelope.wire``) and the router changed nothing but the ttl, the
-        hop costs a ttl patch on the cached frame — the flood fast path.
-        Everything else (originations, DSR route edits) builds a fresh lazy
-        frame from ``out.to_dict()``. Overridden by the eager-codec baseline
-        in ``benchmarks/bench_wire.py``.
+        """The wire frame for one outgoing hop: a lazy frame over
+        ``out.to_dict()`` whose payload rides by reference. Overridden by
+        the eager-codec baseline in ``benchmarks/bench_wire.py``.
         """
-        wire = envelope.wire
-        if wire is not None:
-            message = wire.message
-            if (message["b"] is out.payload
-                    and message.get("r") == out.route):
-                return wire.derive_int("t", out.ttl)
         return WireFrame(out.to_dict(), self.codec)
 
     def forward_to(self, next_hop: str, envelope: Envelope) -> None:
@@ -321,13 +306,7 @@ class RoutingAgent:
 
     # ------------------------------------------------------------- receiving
 
-    def _on_frame(self, source: Address, payload: bytes) -> None:
-        # Corrupted or truncated frames (chaos injection) are dropped and
-        # counted, never raised — a raise would abort the simulator run.
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self._drop("malformed")
-            return
+    def _on_frame(self, source: Address, message: Dict[str, Any]) -> None:
         if "c" in message:
             if TRACER.enabled:
                 with TRACER.span("route.control", node=self.node_id,
@@ -339,14 +318,13 @@ class RoutingAgent:
         try:
             envelope = Envelope.from_dict(message)
         except (KeyError, TypeError, ValueError, AttributeError, MiddlewareError):
-            self._drop("malformed")
+            self.endpoint.drop_malformed(source, "envelope fields")
             return
         if not isinstance(envelope.ttl, int) or not isinstance(envelope.seq, int) \
                 or not (isinstance(envelope.payload, (bytes, bytearray))
                         or is_frame(envelope.payload)):
-            self._drop("malformed")
+            self.endpoint.drop_malformed(source, "envelope field types")
             return
-        envelope.wire = self._capture_wire(payload, message, envelope)
         if TRACER.enabled:
             # Re-attach the trace context carried in the frame's packet
             # header (ambient here: we run inside the transport.deliver span).
@@ -357,34 +335,6 @@ class RoutingAgent:
             return
         self._seen.add(key)
         self._move(envelope)
-
-    _WIRE_KEYS = ("s", "d", "t", "q", "b")
-    _WIRE_KEYS_R = ("s", "d", "t", "q", "b", "r")
-
-    def _capture_wire(self, payload, message: Dict[str, Any],
-                      envelope: Envelope) -> Optional[WireFrame]:
-        """The received frame, iff its dict provably round-trips to_dict().
-
-        Forwarding via a cached frame is only sound when re-encoding
-        ``envelope.to_dict()`` would reproduce the received dict exactly:
-        canonical key order, addresses that re-stringify identically, and a
-        ttl that an int-field splice can rewrite. Anything else returns
-        None, falling back to the full re-encode — exactly the pre-frame
-        behavior (including its silent dropping of unknown keys).
-        """
-        keys = tuple(message)
-        if keys != self._WIRE_KEYS and keys != self._WIRE_KEYS_R:
-            return None
-        ttl = message["t"]
-        if type(ttl) is not int or type(message["q"]) is not int \
-                or not 0 <= ttl < 2**63:
-            return None
-        if message["s"] != str(envelope.source) \
-                or message["d"] != str(envelope.destination):
-            return None
-        if isinstance(payload, WireFrame) and payload.codec.name == self.codec.name:
-            return payload
-        return WireFrame(message, self.codec)
 
     def _drop(self, reason: str) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + 1

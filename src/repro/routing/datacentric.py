@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.interop.codec import Codec, get_codec
-from repro.interop.frames import WireFrame, decode_payload
+from repro.interop.frames import WireFrame
 from repro.transport.base import Address
 from repro.transport.simnet import SimFabric, SimTransport
 from repro.util.ids import SequenceGenerator
@@ -66,7 +66,7 @@ class DataCentricAgent:
         self.interests_sent = 0
         self.data_sent = 0
         self.data_delivered = 0
-        self.endpoint.set_receiver(self._on_message)
+        self.endpoint.receive_messages(self.codec, self._on_message)
 
     def _now(self) -> float:
         return self.endpoint.scheduler.now()
@@ -150,8 +150,7 @@ class DataCentricAgent:
 
     # -------------------------------------------------------------- receiving
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = decode_payload(self.codec, payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         kind = message.get("c")
         if kind == "interest":
             self._on_interest(source, message)

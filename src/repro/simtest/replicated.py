@@ -34,7 +34,6 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -450,9 +449,3 @@ def run_failover(seed: int, tie_seed: int = 0,
     """One primary-kill run; returns the scorecard (pure in its inputs)."""
     world = ReplicatedWorld(seed, tie_seed, **kwargs)
     return world.scorecard(world.run())
-
-
-def scorecard_bytes(scorecard: Dict[str, Any]) -> bytes:
-    """Canonical serialized form: byte-identical for identical runs."""
-    return json.dumps(scorecard, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")

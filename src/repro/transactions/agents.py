@@ -77,7 +77,7 @@ class AgentHost:
         self._homecoming: Dict[str, List[Promise]] = {}
         self.agents_hosted = 0
         self.agents_refused = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     @property
     def address(self) -> Address:
@@ -132,8 +132,7 @@ class AgentHost:
 
     # -------------------------------------------------------------- receive
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         if op == "agent":
             self._host_agent(message)

@@ -59,7 +59,7 @@ class MessageBroker:
         self.messages_accepted = 0
         self.deliveries = 0
         self.redeliveries = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     def depth(self, queue: str) -> int:
         state = self._queues.get(queue)
@@ -70,8 +70,7 @@ class MessageBroker:
 
     # -------------------------------------------------------------- protocol
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         if op == "put":
             self._handle_put(source, message)
@@ -165,7 +164,7 @@ class MessagingClient:
         self._pending: Dict[str, Promise] = {}
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self.received = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     # --------------------------------------------------------------- producer
 
@@ -209,8 +208,7 @@ class MessagingClient:
 
             promise.reject(DeliveryError(f"broker request {rid} timed out"))
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         if op == "deliver":
             handler = self._handlers.get(message["queue"])

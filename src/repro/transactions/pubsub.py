@@ -72,13 +72,12 @@ class PubSubBroker:
         self._subscriptions: List[_Subscription] = []
         self.events_published = 0
         self.events_delivered = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     def subscription_count(self) -> int:
         return len(self._subscriptions)
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         if op == "sub":
             self._subscriptions.append(
@@ -134,7 +133,7 @@ class PubSubClient:
         self._pending: Dict[str, Promise] = {}
         self._handlers: Dict[str, Tuple[EventHandler, List[Dict[str, str]]]] = {}
         self.events_received = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     def subscribe(
         self,
@@ -180,8 +179,7 @@ class PubSubClient:
 
             promise.reject(DeliveryError(f"broker request {rid} timed out"))
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         if op == "event":
             entry = self._handlers.get(message.get("pattern", ""))

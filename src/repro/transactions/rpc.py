@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import AdmissionRefused, RemoteError, RpcError, RpcTimeoutError, SchemaError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec, get_codec
 from repro.interop.schema import InterfaceSchema
 from repro.obs.tracing import NOOP_SPAN, TRACER
 from repro.transport.base import Address, Transport
@@ -73,8 +73,7 @@ class RpcEndpoint:
         self.calls_served = 0
         self.timeouts = 0
         self.admission_rejected = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     # ---------------------------------------------------------------- serving
 
@@ -218,23 +217,19 @@ class RpcEndpoint:
 
     # -------------------------------------------------------------- receiving
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         if op == "call":
             method = message.get("method")
             if not isinstance(method, str):
-                self.malformed_frames += 1
+                self.transport.drop_malformed(source, "rpc method")
                 return
             self._serve(source, message.get("rid"), method,
                         message.get("params", {}))
         elif op == "notify":
             method = message.get("method")
             if not isinstance(method, str):
-                self.malformed_frames += 1
+                self.transport.drop_malformed(source, "rpc method")
                 return
             self._serve(source, None, method, message.get("params", {}))
         elif op in ("result", "error"):

@@ -84,14 +84,13 @@ class SharedObjectHost:
         self.reads_served = 0
         self.writes_served = 0
         self.invalidations_sent = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     def value(self, key: str) -> Any:
         stored = self._objects.get(key)
         return stored.value if stored else None
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         if op == "get":
             key = message["key"]
@@ -219,7 +218,7 @@ class SharedObjectCache:
         self.cache_hits = 0
         self.cache_misses = 0
         self.invalidations_received = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     # ------------------------------------------------------------------- API
 
@@ -281,8 +280,7 @@ class SharedObjectCache:
             return
         self._cache[key] = (value, version)
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         if op == "invalidate":
             self.invalidations_received += 1

@@ -77,7 +77,7 @@ class TupleSpaceServer:
         self.outs = 0
         self.takes = 0
         self.reads = 0
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -87,8 +87,7 @@ class TupleSpaceServer:
 
     # -------------------------------------------------------------- protocol
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         op = message.get("op")
         rid = message.get("rid")
         if op == "out":
@@ -178,7 +177,7 @@ class TupleSpaceClient:
         self.codec = codec if codec is not None else get_codec("binary")
         self._rids = IdGenerator(f"ts:{transport.local_address}")
         self._pending: Dict[str, Promise] = {}
-        transport.set_receiver(self._on_message)
+        transport.receive_messages(self.codec, self._on_message)
 
     def _request(self, message: Dict[str, Any]) -> Promise:
         rid = self._rids.next()
@@ -214,8 +213,7 @@ class TupleSpaceClient:
         """Probe take: fulfills immediately with the tuple or None."""
         return self._request({"op": "inp", "template": list(template)})
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+    def _on_message(self, source: Address, message: Dict[str, Any]) -> None:
         promise = self._pending.pop(message.get("rid"), None)
         if promise is not None:
             promise.fulfill(message.get("tuple"))

@@ -7,6 +7,13 @@ the guarantee a datagram network gives. Reliability, ordering, multiplexing
 and structure are layered on top (see :mod:`repro.transport.reliable`,
 :mod:`repro.transport.multiplex`, :mod:`repro.interop.codec`).
 
+Byte-level layers bind with :meth:`Transport.set_receiver`; message
+protocols bind with :meth:`Transport.receive_messages`, and the endpoint
+hands them decoded dicts. That is the one receive seam: every frame is
+decoded once, here, and remote garbage — undecodable bytes or a value that
+is not a message dict — is counted in :attr:`Transport.malformed_frames`
+and dropped, never raised into the event loop.
+
 Transports also expose a :class:`Scheduler` (virtual or real time) so the
 layers above can set timers without knowing which world they run in.
 """
@@ -15,10 +22,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Dict, Optional, Protocol
 
-from repro.errors import AddressError, TransportClosedError
-from repro.interop.frames import FRAME_TYPES
+from repro.errors import AddressError, CodecError, TransportClosedError
+from repro.interop.codec import Codec
+from repro.interop.frames import FRAME_TYPES, decode_frame
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 
 
@@ -51,6 +60,7 @@ class Address:
 
 
 Receiver = Callable[[Address, bytes], None]
+MessageHandler = Callable[[Address, Dict[str, Any]], None]
 
 
 class Scheduler(Protocol):
@@ -70,11 +80,14 @@ class Transport(abc.ABC):
     def __init__(self, local: Address):
         self._local = local
         self._receiver: Optional[Receiver] = None
+        # Set by receive_messages: frames are decoded before the receiver.
+        self._codec: Optional[Codec] = None
         self._closed = False
         self.sent_messages = 0
         self.sent_bytes = 0
         self.received_messages = 0
         self.received_bytes = 0
+        self.malformed_frames = 0
 
     # ------------------------------------------------------------ properties
 
@@ -131,8 +144,17 @@ class Transport(abc.ABC):
     # ------------------------------------------------------------- receiving
 
     def set_receiver(self, receiver: Optional[Receiver]) -> None:
-        """Install the upper-layer receive callback (one per endpoint)."""
+        """Install the upper-layer byte receiver (one per endpoint)."""
         self._receiver = receiver
+        self._codec = None
+
+    def receive_messages(self, codec: Codec, handler: MessageHandler) -> None:
+        """Bind a message protocol: ``handler(source, message)`` receives
+        each frame decoded with ``codec`` — by reference for a same-codec
+        :class:`~repro.interop.frames.WireFrame` — and only when it is a
+        dict. Anything else is counted by :meth:`drop_malformed`."""
+        self.set_receiver(handler)
+        self._codec = codec
 
     def _dispatch(self, source: Address, payload: bytes) -> None:
         """Called by subclasses when bytes arrive for this endpoint."""
@@ -140,8 +162,34 @@ class Transport(abc.ABC):
             return
         self.received_messages += 1
         self.received_bytes += len(payload)
-        if self._receiver is not None:
-            self._receiver(source, payload)
+        receiver = self._receiver
+        if receiver is None:
+            return
+        codec = self._codec
+        if codec is not None:
+            try:
+                payload = decode_frame(codec, payload)
+            except CodecError as exc:
+                self.drop_malformed(source, str(exc))
+                return
+            if not isinstance(payload, dict):
+                self.drop_malformed(source, type(payload).__name__)
+                return
+        receiver(source, payload)
+
+    def drop_malformed(self, source: Address, why: str) -> None:
+        """Count one malformed frame from ``source`` and drop it.
+
+        Also called by protocols whose field-level checks reject a decoded
+        message, so each endpoint keeps one malformed count.
+        """
+        self.malformed_frames += 1
+        local = self._local
+        get_registry().counter("transport.malformed", node=local.node,
+                               port=local.port).inc()
+        if TRACER.enabled:
+            TRACER.instant("transport.malformed", node=local.node,
+                           port=local.port, peer=source.node, why=why)
 
     # --------------------------------------------------------------- closing
 

@@ -15,7 +15,6 @@ from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.interop.frames import PrefixedFrame, is_frame
-from repro.obs.metrics import get_registry
 from repro.transport.base import Address, Scheduler, Transport
 
 _LEN = struct.Struct(">H")
@@ -25,14 +24,14 @@ class Multiplexer:
     """Demultiplexes channel frames arriving on the wrapped transport.
 
     Malformed frames (truncated header or name, undecodable name) are
-    counted and dropped rather than raised — a raise here would unwind the
-    simulator event loop and abort the whole run.
+    counted on the wrapped endpoint and dropped rather than raised — a
+    raise here would unwind the simulator event loop and abort the whole
+    run.
     """
 
     def __init__(self, inner: Transport):
         self.inner = inner
         self._channels: Dict[str, "ChannelTransport"] = {}
-        self.malformed_frames = 0
         inner.set_receiver(self._on_frame)
 
     def channel(self, name: str) -> "ChannelTransport":
@@ -71,17 +70,17 @@ class Multiplexer:
         elif not isinstance(frame, (bytes, bytearray)):
             frame = bytes(frame)
         if len(frame) < _LEN.size:
-            self._drop_malformed()
+            self.inner.drop_malformed(source, "truncated header")
             return
         (name_length,) = _LEN.unpack_from(frame, 0)
         header_end = _LEN.size + name_length
         if len(frame) < header_end:
-            self._drop_malformed()
+            self.inner.drop_malformed(source, "truncated channel name")
             return
         try:
             name = frame[_LEN.size:header_end].decode("utf-8")
         except UnicodeDecodeError:
-            self._drop_malformed()
+            self.inner.drop_malformed(source, "channel name is not UTF-8")
             return
         channel = self._channels.get(name)
         if channel is None or channel.closed:
@@ -89,12 +88,6 @@ class Multiplexer:
         if body is None:
             body = frame[header_end:]
         channel._dispatch(source, body)
-
-    def _drop_malformed(self) -> None:
-        self.malformed_frames += 1
-        get_registry().counter(
-            "transport.malformed", node=self.inner.local_address.node
-        ).inc()
 
     def close(self) -> None:
         for channel in self._channels.values():

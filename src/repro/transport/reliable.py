@@ -33,7 +33,6 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.interop.frames import PrefixedFrame, is_frame, split_frame
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER, SpanContext
 from repro.transport.base import Address, Scheduler, Transport
 from repro.transport.simnet import BROADCAST_NODE
@@ -130,7 +129,6 @@ class ReliableTransport(Transport):
         self.duplicates_suppressed = 0
         self.acks_sent = 0
         self.give_ups = 0
-        self.malformed_frames = 0
         self.window_overflows = 0
         inner.set_receiver(self._on_frame)
 
@@ -194,7 +192,7 @@ class ReliableTransport(Transport):
     def _on_frame(self, source: Address, frame: bytes) -> None:
         header, payload = split_frame(frame, RELIABLE_HEADER_BYTES)
         if header is None:
-            self._drop_malformed(source, f"truncated ({len(frame)} bytes)")
+            self.drop_malformed(source, f"truncated ({len(frame)} bytes)")
             return
         flag, seq = header[:1], _SEQ.unpack_from(header, 1)[0]
         if flag == ACK_FLAG:
@@ -206,7 +204,7 @@ class ReliableTransport(Transport):
                     cancel()
             return
         if flag != DATA_FLAG:
-            self._drop_malformed(source, f"unknown flag {flag!r}")
+            self.drop_malformed(source, f"unknown flag {flag!r}")
             return
         if seq == 0:
             # Unacknowledged broadcast frame: deliver as-is.
@@ -237,14 +235,6 @@ class ReliableTransport(Transport):
         self.inner.send(source, ACK_FLAG + _SEQ.pack(seq))
         state.mark_delivered(seq)
         self._dispatch(source, payload)
-
-    def _drop_malformed(self, source: Address, why: str) -> None:
-        self.malformed_frames += 1
-        get_registry().counter("transport.malformed",
-                               node=self._local.node).inc()
-        if TRACER.enabled:
-            TRACER.instant("transport.malformed", node=self._local.node,
-                           peer=source.node, why=why)
 
     # --------------------------------------------------------------- closing
 

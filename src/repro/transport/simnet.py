@@ -21,7 +21,7 @@ payload is eager bytes or a frame.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.netsim.network import Network
@@ -118,6 +118,10 @@ class SimFabric:
 
     def remove(self, address: Address) -> None:
         self._endpoints.pop((address.node, address.port), None)
+
+    def endpoints(self) -> List[Transport]:
+        """Every endpoint currently bound on the fabric."""
+        return list(self._endpoints.values())
 
     def _transmit(self, source: Address, destination: Address, payload: bytes) -> None:
         packet = Packet(

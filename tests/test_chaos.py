@@ -16,8 +16,8 @@ from repro.netsim.chaos import (
     FAULT_MIXES,
     CampaignSpec,
     run_campaign,
-    scorecard_bytes,
 )
+from repro.workloads.scorecard import canonical_bytes
 
 #: Short-campaign overrides, mirroring the CLI's ``--smoke`` grid: the
 #: 40s duration still leaves room for the slowest retransmission chain
@@ -108,18 +108,18 @@ class TestInvariants:
 
 class TestDeterminism:
     def test_same_seed_same_mix_byte_identical_scorecard(self):
-        first = scorecard_bytes(run_campaign("corrupt", 3, **SHORT))
-        second = scorecard_bytes(run_campaign("corrupt", 3, **SHORT))
+        first = canonical_bytes(run_campaign("corrupt", 3, **SHORT))
+        second = canonical_bytes(run_campaign("corrupt", 3, **SHORT))
         assert first == second
 
     def test_failover_scorecard_is_byte_identical(self):
-        first = scorecard_bytes(run_campaign("failover", 2, **SHORT))
-        second = scorecard_bytes(run_campaign("failover", 2, **SHORT))
+        first = canonical_bytes(run_campaign("failover", 2, **SHORT))
+        second = canonical_bytes(run_campaign("failover", 2, **SHORT))
         assert first == second
 
     def test_different_seeds_differ(self):
-        a = scorecard_bytes(run_campaign("churn", 0, **SHORT))
-        b = scorecard_bytes(run_campaign("churn", 1, **SHORT))
+        a = canonical_bytes(run_campaign("churn", 0, **SHORT))
+        b = canonical_bytes(run_campaign("churn", 1, **SHORT))
         assert a != b
 
 
@@ -195,8 +195,8 @@ class TestFlashCrowd:
         assert milan["min_requirement"] < 1.0  # degradation really happened
 
     def test_scorecard_is_byte_identical(self):
-        first = scorecard_bytes(run_campaign("flashcrowd", 4, **SHORT))
-        second = scorecard_bytes(run_campaign("flashcrowd", 4, **SHORT))
+        first = canonical_bytes(run_campaign("flashcrowd", 4, **SHORT))
+        second = canonical_bytes(run_campaign("flashcrowd", 4, **SHORT))
         assert first == second
 
     def test_other_mixes_have_no_overload_section(self):

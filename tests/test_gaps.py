@@ -13,12 +13,10 @@ from repro.netsim.network import Network
 from repro.netsim.packet import BROADCAST, Packet
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
-from repro.recovery.replication import BackupReplica, PrimaryReplica, ReplicationClient
 from repro.routing.base import build_routed_network
 from repro.routing.datacentric import DataCentricAgent
 from repro.routing.linkstate import LinkStateRouter
 from repro.transport.base import Address
-from repro.transport.inmemory import InMemoryFabric
 from repro.transport.simnet import SimFabric
 from repro.util.geometry import Point
 
@@ -64,38 +62,6 @@ class TestWiredLinkExtras:
         network.send("a", Packet("a", BROADCAST, payload=b"hi", payload_bytes=2))
         network.sim.run()
         assert got == [b"hi"]
-
-
-class TestReplicationQuorums:
-    def test_zero_quorum_acks_immediately(self):
-        fabric = InMemoryFabric(latency_s=0.005)
-        backup = BackupReplica(fabric.endpoint("b", "repl"))
-        primary = PrimaryReplica(fabric.endpoint("p", "repl"),
-                                 [backup.transport.local_address], ack_quorum=0)
-        client = ReplicationClient(fabric.endpoint("c", "repl"),
-                                   [primary.transport.local_address])
-        write = client.write("k", 1)
-        fabric.run()
-        assert write.fulfilled
-        assert backup.data.get("k") == 1  # replication still happens async
-
-    def test_quorum_one_of_two_backups(self):
-        fabric = InMemoryFabric(latency_s=0.005)
-        backup_a = BackupReplica(fabric.endpoint("b1", "repl"))
-        backup_b = BackupReplica(fabric.endpoint("b2", "repl"))
-        primary = PrimaryReplica(
-            fabric.endpoint("p", "repl"),
-            [backup_a.transport.local_address, backup_b.transport.local_address],
-            ack_quorum=1,
-        )
-        # Even with one backup dead, quorum 1 still acknowledges.
-        backup_b.transport.close()
-        client = ReplicationClient(fabric.endpoint("c", "repl"),
-                                   [primary.transport.local_address])
-        write = client.write("k", 2)
-        fabric.run()
-        assert write.fulfilled
-        assert backup_a.data.get("k") == 2
 
 
 class TestDataCentricExtras:

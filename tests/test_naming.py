@@ -84,12 +84,12 @@ class TestLocationService:
         fabric, server, client = self.setup()
         name = "sensors/bp-1"
         # Deliver version 2 first, then a stale version 1 directly.
-        server._on_message(Address("x"), server.codec.encode(
-            {"op": "bind", "rid": "r1", "name": name, "address": "new:svc",
-             "version": 2}))
-        server._on_message(Address("x"), server.codec.encode(
-            {"op": "bind", "rid": "r2", "name": name, "address": "old:svc",
-             "version": 1}))
+        server._on_message(Address("x"), {
+            "op": "bind", "rid": "r1", "name": name, "address": "new:svc",
+            "version": 2})
+        server._on_message(Address("x"), {
+            "op": "bind", "rid": "r2", "name": name, "address": "old:svc",
+            "version": 1})
         assert server.binding(name).address == "new:svc"
 
     def test_move_event(self):

@@ -1,16 +1,10 @@
-"""Tests for recovery: WAL, checkpoints, transactional store, detectors,
-replication."""
+"""Tests for recovery: WAL, checkpoints, transactional store, detectors."""
 
 import pytest
 
 from repro.errors import RecoveryError, TransactionAborted
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.heartbeat import HeartbeatDetector
-from repro.recovery.replication import (
-    BackupReplica,
-    PrimaryReplica,
-    ReplicationClient,
-)
 from repro.recovery.store import TransactionalStore
 from repro.recovery.wal import (
     BEGIN,
@@ -246,11 +240,9 @@ class TestHeartbeat:
         fabric = InMemoryFabric()
         watcher = HeartbeatDetector(fabric.endpoint("w", "hb"), interval_s=1.0)
         watcher.watch("x")
-        frame_new = watcher.codec.encode({"op": "hb", "from": "x", "seq": 5})
-        frame_old = watcher.codec.encode({"op": "hb", "from": "x", "seq": 3})
-        watcher._on_message(Address("x", "hb"), frame_new)
+        watcher._on_message(Address("x", "hb"), {"op": "hb", "from": "x", "seq": 5})
         heard = watcher._watched["x"].last_seq
-        watcher._on_message(Address("x", "hb"), frame_old)
+        watcher._on_message(Address("x", "hb"), {"op": "hb", "from": "x", "seq": 3})
         assert watcher._watched["x"].last_seq == heard
 
     def test_alive_peers_listing(self):
@@ -272,8 +264,7 @@ class TestHeartbeat:
 
         def beat(seq):
             watcher._on_message(
-                Address("peer", "hb"),
-                watcher.codec.encode({"op": "hb", "from": "peer", "seq": seq}),
+                Address("peer", "hb"), {"op": "hb", "from": "peer", "seq": seq}
             )
 
         # Flap three times: silence past the timeout, then one heartbeat.
@@ -293,72 +284,6 @@ class TestHeartbeat:
         assert len(suspects) == 4
         assert len(recoveries) == 4
         watcher.stop()
-
-
-class TestReplication:
-    def setup_group(self):
-        fabric = InMemoryFabric(latency_s=0.005)
-        backup = BackupReplica(fabric.endpoint("backup", "repl"))
-        primary = PrimaryReplica(fabric.endpoint("primary", "repl"),
-                                 [backup.transport.local_address])
-        client = ReplicationClient(
-            fabric.endpoint("client", "repl"),
-            [primary.transport.local_address, backup.transport.local_address],
-            request_timeout_s=0.5,
-        )
-        return fabric, primary, backup, client
-
-    def test_write_replicates_to_backup(self):
-        fabric, primary, backup, client = self.setup_group()
-        promise = client.write("k", 42)
-        fabric.run()
-        assert promise.fulfilled
-        assert backup.data["k"] == 42
-
-    def test_read_from_primary(self):
-        fabric, primary, backup, client = self.setup_group()
-        client.write("k", "v")
-        fabric.run()
-        read = client.read("k")
-        fabric.run()
-        assert read.result() == "v"
-
-    def test_failover_to_backup(self):
-        fabric, primary, backup, client = self.setup_group()
-        client.write("k", 1)
-        fabric.run()
-        primary.transport.close()
-        write = client.write("k2", 2)
-        fabric.sim.run_until(fabric.sim.now() + 5.0)
-        assert write.fulfilled
-        assert write.result()["role"] == "promoted"
-        read = client.read("k")  # old data survived on the backup
-        fabric.sim.run_until(fabric.sim.now() + 5.0)
-        assert read.result() == 1
-        assert client.failovers >= 1
-
-    def test_all_replicas_down_rejects(self):
-        fabric = InMemoryFabric(latency_s=0.005)
-        client = ReplicationClient(
-            fabric.endpoint("client", "repl"),
-            [Address("ghost1", "repl"), Address("ghost2", "repl")],
-            request_timeout_s=0.2,
-        )
-        write = client.write("k", 1)
-        fabric.run()
-        assert write.rejected
-
-    def test_out_of_order_replication_applied_in_order(self):
-        fabric = InMemoryFabric()
-        backup = BackupReplica(fabric.endpoint("b", "repl"))
-        encode = backup.codec.encode
-        backup._on_message(Address("p", "repl"),
-                           encode({"op": "repl", "seq": 2, "key": "k", "value": "v2"}))
-        assert backup.applied_seq == 0  # buffered, waiting for seq 1
-        backup._on_message(Address("p", "repl"),
-                           encode({"op": "repl", "seq": 1, "key": "k", "value": "v1"}))
-        assert backup.applied_seq == 2
-        assert backup.data["k"] == "v2"
 
 
 class TestTornWritesAndReplayIdempotence:

@@ -8,8 +8,8 @@ from repro.simtest.replicated import (
     PRIMARY,
     ReplicatedWorld,
     run_failover,
-    scorecard_bytes,
 )
+from repro.workloads.scorecard import canonical_bytes
 
 pytestmark = pytest.mark.simtest
 
@@ -47,13 +47,13 @@ class TestPrimaryKill:
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self):
-        first = scorecard_bytes(run_failover(2))
-        second = scorecard_bytes(run_failover(2))
+        first = canonical_bytes(run_failover(2))
+        second = canonical_bytes(run_failover(2))
         assert first == second
 
     def test_different_seeds_differ(self):
-        assert scorecard_bytes(run_failover(0)) != \
-            scorecard_bytes(run_failover(1))
+        assert canonical_bytes(run_failover(0)) != \
+            canonical_bytes(run_failover(1))
 
 
 class TestCli:

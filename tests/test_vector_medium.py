@@ -289,14 +289,15 @@ class TestChaosScorecardEquivalence:
 
     @pytest.mark.chaos
     def test_churn_campaign_scorecards_identical(self, monkeypatch):
-        from repro.netsim.chaos import run_campaign, scorecard_bytes
+        from repro.netsim.chaos import run_campaign
+        from repro.workloads.scorecard import canonical_bytes
 
         short = dict(duration_s=40.0, heal_deadline_s=24.0, fault_start_s=5.0,
                      bulk_messages=60, transfer_stop_s=22.0)
         monkeypatch.setenv(BACKEND_ENV, "scalar")
-        scalar = scorecard_bytes(run_campaign("churn", 2, **short))
+        scalar = canonical_bytes(run_campaign("churn", 2, **short))
         monkeypatch.setenv(BACKEND_ENV, "vector")
-        vector = scorecard_bytes(run_campaign("churn", 2, **short))
+        vector = canonical_bytes(run_campaign("churn", 2, **short))
         assert vector == scalar
 
 

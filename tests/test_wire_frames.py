@@ -19,10 +19,9 @@ from repro.interop.codec import (
     BinaryCodec,
     JsonCodec,
     splice_int_field,
-    try_decode_dict,
 )
 from repro.interop.frames import (
-    decode_payload,
+    decode_frame,
     is_frame,
     PrefixedFrame,
     split_frame,
@@ -37,6 +36,7 @@ from repro.recovery.wal import StableStorage
 from repro.routing.base import build_routed_network
 from repro.routing.flooding import FloodingRouter
 from repro.transport.base import Address
+from repro.transport.inmemory import InMemoryFabric
 from repro.transport.secure import SecureChannel
 from repro.transport.simnet import SimFabric
 
@@ -229,7 +229,7 @@ class TestPassthrough:
         registry = get_registry()
         passthrough = registry.counter_total("transport.frames.passthrough")
         skipped = registry.counter_total("codec.encode_skipped")
-        extracted = try_decode_dict(codec, frame)
+        extracted = decode_frame(codec, frame)
         assert extracted is message  # identity, not a copy
         assert frame._encoded is None  # encode never ran
         assert registry.counter_total("transport.frames.passthrough") == passthrough + 1
@@ -238,18 +238,19 @@ class TestPassthrough:
     def test_decode_payload_passthrough_and_raw_bytes(self):
         codec = BinaryCodec()
         message = {"op": "x"}
-        assert decode_payload(codec, WireFrame(message, codec)) is message
-        assert decode_payload(codec, codec.encode(message)) == message
+        assert decode_frame(codec, WireFrame(message, codec)) is message
+        assert decode_frame(codec, codec.encode(message)) == message
 
     def test_codec_mismatch_materializes_real_bytes(self):
         binary, json_codec = BinaryCodec(), JsonCodec()
         frame = WireFrame({"a": 1}, binary)
         # The JSON receiver sees its own view of the sender's real bytes —
         # binary wire bytes are not JSON, so the counted-drop path fires.
-        assert try_decode_dict(json_codec, frame) is None
+        with pytest.raises(CodecError):
+            decode_frame(json_codec, frame)
         assert frame._encoded is not None
         json_frame = WireFrame({"a": 1}, json_codec)
-        assert decode_payload(json_codec, json_frame) is json_frame._message
+        assert decode_frame(json_codec, json_frame) is json_frame._message
 
     def test_raw_decode_coerces_frames(self):
         # Receivers that call codec.decode() directly on a transport payload
@@ -262,7 +263,14 @@ class TestPassthrough:
 
     def test_non_dict_frame_is_not_extracted(self):
         codec = BinaryCodec()
-        assert try_decode_dict(codec, WireFrame([1, 2, 3], codec)) is None
+        fabric = InMemoryFabric()
+        sender, receiver = fabric.endpoint("a"), fabric.endpoint("b")
+        got = []
+        receiver.receive_messages(codec, lambda source, message: got.append(message))
+        sender.send(receiver.local_address, WireFrame([1, 2, 3], codec))
+        fabric.run()
+        assert got == []
+        assert receiver.malformed_frames == 1
 
 
 class TestEndToEndZeroCopy:
