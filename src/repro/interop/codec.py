@@ -316,72 +316,6 @@ class BinaryCodec:
             raise CodecError("truncated payload")
 
 
-def _skip_value(payload: bytes, offset: int) -> int:
-    """Offset just past the encoded value starting at ``offset``.
-
-    A structural scan — no Python values are built — used by
-    :func:`splice_int_field` to locate a field inside cached frame bytes.
-    """
-    if offset >= len(payload):
-        raise CodecError("truncated payload")
-    tag = payload[offset:offset + 1]
-    offset += 1
-    if tag in (_T_NONE, _T_TRUE, _T_FALSE):
-        return offset
-    if tag == _T_INT:
-        _, offset = _decode_varint(payload, offset)
-        return offset
-    if tag == _T_FLOAT:
-        BinaryCodec._need(payload, offset, _F64.size)
-        return offset + _F64.size
-    if tag in (_T_STR, _T_BYTES, _T_BIGINT):
-        length, offset = _decode_varint(payload, offset)
-        BinaryCodec._need(payload, offset, length)
-        return offset + length
-    if tag == _T_LIST:
-        count, offset = _decode_varint(payload, offset)
-        for _ in range(count):
-            offset = _skip_value(payload, offset)
-        return offset
-    if tag == _T_DICT:
-        count, offset = _decode_varint(payload, offset)
-        for _ in range(count):
-            key_length, offset = _decode_varint(payload, offset)
-            BinaryCodec._need(payload, offset, key_length)
-            offset += key_length
-            offset = _skip_value(payload, offset)
-        return offset
-    raise CodecError(f"unknown type tag {tag!r} at offset {offset - 1}")
-
-
-def splice_int_field(encoded: bytes, key: str, value: int) -> bytes:
-    """Rewrite one top-level int field of an encoded binary dict in place.
-
-    Returns bytes identical to re-encoding ``{**decode(encoded), key: value}``
-    but touches only the field's varint: everything before and after —
-    including a nested multi-kilobyte payload — is sliced, not re-encoded.
-    This is the routing layer's per-hop TTL patch on the materialization
-    path.
-    """
-    if encoded[:1] != _T_DICT:
-        raise CodecError("splice target is not an encoded dict")
-    count, offset = _decode_varint(encoded, 1)
-    target = key.encode("utf-8")
-    for _ in range(count):
-        key_length, offset = _decode_varint(encoded, offset)
-        BinaryCodec._need(encoded, offset, key_length)
-        field = encoded[offset:offset + key_length]
-        offset += key_length
-        end = _skip_value(encoded, offset)
-        if field == target:
-            if encoded[offset:offset + 1] != _T_INT:
-                raise CodecError(f"field {key!r} is not an int")
-            return (encoded[:offset] + _T_INT
-                    + _encode_varint(_zigzag(value)) + encoded[end:])
-        offset = end
-    raise CodecError(f"field {key!r} not found in encoded dict")
-
-
 class JsonCodec:
     """Stdlib JSON; rejects bytes values like real JSON middleware does.
 

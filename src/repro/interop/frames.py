@@ -50,7 +50,6 @@ from repro.interop.codec import (
     Codec,
     get_codec,
     register_frame_types,
-    splice_int_field,
 )
 from repro.obs.metrics import get_registry
 
@@ -78,8 +77,7 @@ def _count(name: str) -> None:
 class WireFrame:
     """A message and its wire encoding, each materialized at most once."""
 
-    __slots__ = ("codec", "_message", "_encoded", "_length", "_packer",
-                 "_canonical")
+    __slots__ = ("codec", "_message", "_encoded", "_length", "_packer")
 
     def __init__(
         self,
@@ -94,10 +92,6 @@ class WireFrame:
         self._encoded: Optional[bytes] = None
         self._length = length
         self._packer = packer
-        # True when this process built the frame from a message (so cached
-        # lengths/splices may assume our canonical encoding); False when it
-        # was rebuilt from received bytes, whose varints we did not write.
-        self._canonical = True
 
     @classmethod
     def from_bytes(cls, encoded: bytes, codec: Optional[Codec] = None) -> "WireFrame":
@@ -108,7 +102,6 @@ class WireFrame:
         frame._encoded = bytes(encoded)
         frame._length = len(encoded)
         frame._packer = None
-        frame._canonical = False
         return frame
 
     # ------------------------------------------------------------ the halves
@@ -155,31 +148,6 @@ class WireFrame:
 
     def __len__(self) -> int:
         return self.encoded_length
-
-    # ------------------------------------------------------------ derivation
-
-    def derive_int(self, key: str, value: int) -> "WireFrame":
-        """A frame for ``{**message, key: value}`` (``key`` must hold an int).
-
-        Reuses this frame's cached work: the derived length is O(1) when
-        ours is known, and if our bytes are already materialized the
-        derived frame's materialization splices the one varint instead of
-        re-encoding the dict — the routing layer's per-hop TTL patch.
-        """
-        message = dict(self.message)
-        old = message[key]
-        if not isinstance(old, int) or isinstance(old, bool):
-            raise CodecError(f"derive_int: field {key!r} is not an int")
-        message[key] = value
-        derived = WireFrame(message, self.codec)
-        parent_encoded = self._encoded
-        if parent_encoded is not None:
-            derived._packer = lambda: splice_int_field(parent_encoded, key, value)
-        if self._canonical and self._length is not None:
-            derived._length = (self._length
-                               - _varint_size(_zigzag(old))
-                               + _varint_size(_zigzag(value)))
-        return derived
 
     # -------------------------------------------------------------- plumbing
 

@@ -11,6 +11,10 @@ like ``"?int"`` matches any value of that type. Operations:
 * ``rdp(template)`` / ``inp(template)`` — non-blocking probes (fulfill with
   the tuple or None immediately).
 
+When several stored tuples match, the oldest one wins. :class:`TupleStore`
+finds it through a field index instead of scanning the space: every
+hashable field is indexed under ``(arity, position, value)``, and a lookup
+walks only the smallest bucket that a concrete template field names.
 Blocked readers are served in arrival order; a single ``out`` wakes every
 matching ``rd`` but only the first matching ``in``.
 
@@ -21,7 +25,7 @@ answered by ``{"op": "tuple", "rid", "tuple": t or None}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.interop.codec import Codec, get_codec
 from repro.transport.base import Address, Transport
@@ -58,6 +62,99 @@ def template_matches(template: List[Any], candidate: List[Any]) -> bool:
     return True
 
 
+_Key = Tuple[int, int, Any]
+
+
+def _index_keys(values: List[Any]) -> List[_Key]:
+    """The ``(arity, position, value)`` keys of a tuple's hashable fields.
+
+    ``None`` is skipped: in a template it is the wildcard, so no lookup
+    ever asks for it.
+    """
+    arity = len(values)
+    keys = []
+    for position, value in enumerate(values):
+        if value is None:
+            continue
+        key = (arity, position, value)
+        try:
+            hash(key)
+        except TypeError:
+            continue
+        keys.append(key)
+    return keys
+
+
+class TupleStore:
+    """Tuples in arrival order, indexed field by field.
+
+    Each ``(arity, position, value)`` key holds the seqs of the tuples that
+    carry ``value`` at ``position``, in arrival order. A match must carry
+    every concrete template field, so the first confirmed candidate in any
+    one of those buckets is the oldest match in the whole store. Lists and
+    dicts are unhashable and simply not indexed; the codec's scalars hash
+    consistently with ``==`` (``True == 1 == 1.0``), so no bucket misses a
+    tuple that :func:`template_matches` would accept.
+    """
+
+    def __init__(self, tuples: Iterable[List[Any]] = ()):
+        self._tuples: Dict[int, List[Any]] = {}
+        self._index: Dict[_Key, Dict[int, None]] = {}
+        self._next_seq = 0
+        for values in tuples:
+            self.add(values)
+
+    def __len__(self) -> int:
+        return len(self._tuples)
+
+    def __iter__(self) -> Iterator[List[Any]]:
+        """The stored tuples, oldest first."""
+        return iter(self._tuples.values())
+
+    def add(self, values: List[Any]) -> None:
+        seq = self._next_seq
+        self._next_seq += 1
+        self._tuples[seq] = values
+        index = self._index
+        for key in _index_keys(values):
+            bucket = index.get(key)
+            if bucket is None:
+                bucket = index[key] = {}
+            bucket[seq] = None
+
+    def find(self, template: List[Any], remove: bool = False) -> Optional[List[Any]]:
+        """The oldest tuple matching ``template`` (taken out if ``remove``)."""
+        arity = len(template)
+        smallest: Optional[Dict[int, None]] = None
+        for position, pattern in enumerate(template):
+            if pattern is None or (isinstance(pattern, str) and pattern in _TYPE_NAMES):
+                continue
+            try:
+                bucket = self._index.get((arity, position, pattern))
+            except TypeError:
+                continue
+            if bucket is None:
+                return None
+            if smallest is None or len(bucket) < len(smallest):
+                smallest = bucket
+        tuples = self._tuples
+        for seq in tuples if smallest is None else smallest:
+            candidate = tuples[seq]
+            if template_matches(template, candidate):
+                if remove:
+                    self._remove(seq)
+                return candidate
+        return None
+
+    def _remove(self, seq: int) -> None:
+        index = self._index
+        for key in _index_keys(self._tuples.pop(seq)):
+            bucket = index[key]
+            del bucket[seq]
+            if not bucket:
+                del index[key]
+
+
 @dataclass
 class _Waiter:
     source: Address
@@ -72,7 +169,7 @@ class TupleSpaceServer:
     def __init__(self, transport: Transport, codec: Optional[Codec] = None):
         self.transport = transport
         self.codec = codec if codec is not None else get_codec("binary")
-        self._tuples: List[List[Any]] = []
+        self._store = TupleStore()
         self._waiters: List[_Waiter] = []
         self.outs = 0
         self.takes = 0
@@ -80,10 +177,10 @@ class TupleSpaceServer:
         transport.receive_messages(self.codec, self._on_message)
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._store)
 
     def snapshot(self) -> List[List[Any]]:
-        return [list(t) for t in self._tuples]
+        return [list(t) for t in self._store]
 
     # -------------------------------------------------------------- protocol
 
@@ -94,10 +191,11 @@ class TupleSpaceServer:
             self._handle_out(list(message["tuple"]))
             if rid is not None:
                 self._answer(source, rid, list(message["tuple"]))
-        elif op in ("rd", "in"):
-            self._handle_blocking(source, rid, list(message["template"]), op == "in")
-        elif op in ("rdp", "inp"):
-            self._handle_probe(source, rid, list(message["template"]), op == "inp")
+        elif op in ("rd", "in", "rdp", "inp"):
+            self._handle_lookup(
+                source, rid, list(message["template"]),
+                destructive=op in ("in", "inp"), blocking=op in ("rd", "in"),
+            )
 
     def _answer(self, destination: Address, rid: Any, value: Optional[List[Any]]) -> None:
         self.transport.send(
@@ -124,40 +222,21 @@ class TupleSpaceServer:
                 remaining.append(waiter)
         self._waiters = remaining
         if not consumed:
-            self._tuples.append(new_tuple)
+            self._store.add(new_tuple)
 
-    def _find(self, template: List[Any]) -> Optional[int]:
-        for i, candidate in enumerate(self._tuples):
-            if template_matches(template, candidate):
-                return i
-        return None
-
-    def _handle_blocking(
-        self, source: Address, rid: Any, template: List[Any], destructive: bool
+    def _handle_lookup(
+        self, source: Address, rid: Any, template: List[Any],
+        destructive: bool, blocking: bool,
     ) -> None:
-        index = self._find(template)
-        if index is None:
-            self._waiters.append(_Waiter(source, rid, template, destructive))
+        matched = self._store.find(template, remove=destructive)
+        if matched is None:
+            if blocking:
+                self._waiters.append(_Waiter(source, rid, template, destructive))
+            else:
+                self._answer(source, rid, None)
             return
-        matched = self._tuples[index]
         if destructive:
             self.takes += 1
-            del self._tuples[index]
-        else:
-            self.reads += 1
-        self._answer(source, rid, matched)
-
-    def _handle_probe(
-        self, source: Address, rid: Any, template: List[Any], destructive: bool
-    ) -> None:
-        index = self._find(template)
-        if index is None:
-            self._answer(source, rid, None)
-            return
-        matched = self._tuples[index]
-        if destructive:
-            self.takes += 1
-            del self._tuples[index]
         else:
             self.reads += 1
         self._answer(source, rid, matched)

@@ -1,11 +1,18 @@
 """Tests for publish/subscribe, tuple space, and shared objects."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.discovery.matching import AttributeConstraint
+from repro.transactions import tuplespace
 from repro.transactions.pubsub import PubSubBroker, PubSubClient, topic_matches
 from repro.transactions.sharedobjects import SharedObjectCache, SharedObjectHost
-from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer, template_matches
+from repro.transactions.tuplespace import (
+    TupleSpaceClient,
+    TupleSpaceServer,
+    TupleStore,
+    template_matches,
+)
 from repro.transport.inmemory import InMemoryFabric
 
 
@@ -194,6 +201,90 @@ class TestTupleSpace:
         take = b.inp("reading", "?float")
         fabric.run()
         assert take.result() == ["reading", 21.5]
+
+
+    def test_indexed_rd_confirms_one_candidate(self, monkeypatch):
+        fabric, server, a, b = self.setup_space()
+        for i in range(1000):
+            a.out("chat", i, "payload")
+        fabric.run()
+        calls = []
+        real = tuplespace.template_matches
+
+        def counting(template, candidate):
+            calls.append(candidate)
+            return real(template, candidate)
+
+        monkeypatch.setattr(tuplespace, "template_matches", counting)
+        read = b.rd("chat", 999, None)
+        fabric.run()
+        assert read.result() == ["chat", 999, "payload"]
+        assert len(calls) <= 1
+
+
+class LinearStore:
+    """The reference: oldest match by scanning every tuple in arrival order."""
+
+    def __init__(self):
+        self.tuples = []
+
+    def __len__(self):
+        return len(self.tuples)
+
+    def add(self, values):
+        self.tuples.append(values)
+
+    def find(self, template, remove=False):
+        for i, candidate in enumerate(self.tuples):
+            if template_matches(template, candidate):
+                if remove:
+                    del self.tuples[i]
+                return candidate
+        return None
+
+
+# Small pools so tuples collide: duplicates, True/1/1.0, 0/False/-0.0, a
+# stored "?int" string, and unhashable list/dict fields.
+_values = st.one_of(
+    st.sampled_from([0, 1, 2, True, False, 1.0, -0.0, 2.5, "a", "b", "?int", b"x", None]),
+    st.lists(st.sampled_from([0, 1, True, 1.0]), max_size=2),
+    st.dictionaries(st.just("k"), st.sampled_from([0, 1, 1.0]), max_size=1),
+)
+_patterns = st.one_of(
+    st.sampled_from([None, "?int", "?float", "?str", "?bool", "?list", "?dict"]),
+    _values,
+)
+_tuples = st.lists(_values, max_size=3)
+
+
+class TestTupleStoreEquivalence:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_linear_scan(self, data):
+        store, reference = TupleStore(), LinearStore()
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            action = data.draw(st.sampled_from(["add", "copy", "find", "take"]))
+            if action == "add" or (action == "copy" and not reference.tuples):
+                values = data.draw(_tuples)
+            elif action == "copy":
+                values = list(data.draw(st.sampled_from(reference.tuples)))
+            if action in ("add", "copy"):
+                store.add(values)
+                reference.add(values)
+            else:
+                if reference.tuples and data.draw(st.booleans()):
+                    # Derived from a stored tuple, so lookups often hit.
+                    base = data.draw(st.sampled_from(reference.tuples))
+                    template = [data.draw(st.one_of(st.just(v), _patterns))
+                                for v in base]
+                else:
+                    template = data.draw(st.lists(_patterns, max_size=3))
+                remove = action == "take"
+                expected = reference.find(template, remove=remove)
+                found = store.find(template, remove=remove)
+                assert found is expected  # the same (oldest) tuple object
+            assert len(store) == len(reference)
+        assert [id(t) for t in store] == [id(t) for t in reference.tuples]
 
 
 class TestSharedObjects:

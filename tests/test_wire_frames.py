@@ -18,7 +18,6 @@ from repro.interop.codec import (
     _zigzag,
     BinaryCodec,
     JsonCodec,
-    splice_int_field,
 )
 from repro.interop.frames import (
     decode_frame,
@@ -115,53 +114,6 @@ class TestWireFrameIdentity:
         frame = WireFrame({"a": 1}, BinaryCodec())
         repr(frame)
         assert frame._encoded is None
-
-
-class TestDeriveInt:
-    @given(
-        st.dictionaries(st.text(max_size=8), json_scalars, max_size=4),
-        int64s,
-        int64s,
-    )
-    @settings(max_examples=100)
-    def test_matches_full_reencode(self, base, old, new):
-        codec = BinaryCodec()
-        message = {**base, "t": old}
-        frame = WireFrame(message, codec)
-        derived = frame.derive_int("t", new)
-        expected = codec.encode({**message, "t": new})
-        assert len(derived) == len(expected)
-        assert bytes(derived) == expected
-
-    @given(
-        st.dictionaries(st.text(max_size=8), json_scalars, max_size=4),
-        int64s,
-        int64s,
-    )
-    @settings(max_examples=100)
-    def test_splices_when_parent_materialized(self, base, old, new):
-        codec = BinaryCodec()
-        message = {**base, "t": old}
-        frame = WireFrame(message, codec)
-        parent_bytes = bytes(frame)
-        derived = frame.derive_int("t", new)
-        assert bytes(derived) == splice_int_field(parent_bytes, "t", new)
-        assert bytes(derived) == codec.encode({**message, "t": new})
-
-    def test_rejects_non_int_field(self):
-        frame = WireFrame({"t": "nope"}, BinaryCodec())
-        with pytest.raises(CodecError):
-            frame.derive_int("t", 3)
-        frame = WireFrame({"t": True}, BinaryCodec())
-        with pytest.raises(CodecError):
-            frame.derive_int("t", 3)
-
-    def test_does_not_mutate_parent(self):
-        codec = BinaryCodec()
-        frame = WireFrame({"t": 9, "b": b"x"}, codec)
-        frame.derive_int("t", 8)
-        assert frame.message["t"] == 9
-        assert bytes(frame) == codec.encode({"t": 9, "b": b"x"})
 
 
 class TestTailIntPacker:
