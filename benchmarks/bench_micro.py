@@ -38,6 +38,27 @@ def test_binary_codec_round_trip(benchmark):
     assert benchmark(round_trip) == SAMPLE_MESSAGE
 
 
+# Shapes the registered workloads send most: a replication append (the
+# one message that is sized without being encoded) and an RPC call.
+LEDGER_APPEND = {
+    "op": "append", "term": 1, "commit": 0, "prev": 0, "prev_term": 0,
+    "entries": [{"i": 1, "t": 1, "r": "tx:t0", "n": "transfer",
+                 "a": ["t0", "ingress", "s0", 1]}],
+}
+RPC_CALL = {"op": "call", "rid": "rpc:leaf0:api.c-0", "method": "echo",
+            "params": {"n": 48}}
+
+
+def test_binary_codec_encoded_size(benchmark):
+    codec = BinaryCodec()
+    assert benchmark(codec.encoded_size, LEDGER_APPEND) == len(codec.encode(LEDGER_APPEND))
+
+
+def test_binary_codec_decode(benchmark):
+    codec = BinaryCodec()
+    assert benchmark(codec.decode, codec.encode(RPC_CALL)) == RPC_CALL
+
+
 def test_sml_codec_round_trip(benchmark):
     codec = SmlCodec()
 
