@@ -118,7 +118,8 @@ class TestWireFrameIdentity:
 
 class TestTailIntPacker:
     @pytest.mark.parametrize(
-        "value", [0, 1, -1, 63, 64, -64, 1000, 123456789, -(2**62), 2**62]
+        "value", [0, 1, -1, 63, 64, -64, 1000, 123456789, -(2**62), 2**62,
+                  2**63, -(2**63) - 1, True, False]
     )
     def test_frame_matches_eager_encode(self, value):
         codec = BinaryCodec()
